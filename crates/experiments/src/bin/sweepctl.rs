@@ -65,7 +65,7 @@ fn main() -> ExitCode {
         Some("merge") => cmd_merge(&args[1..]),
         Some("local") => cmd_local(&args[1..]),
         Some("--help" | "-h") | None => {
-            print!("{USAGE}");
+            cli::out!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         Some(other) => Err(CliError::usage(format!(
@@ -160,7 +160,7 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         None => false,
     };
     write_json("plan", out, &plan)?;
-    println!(
+    cli::outln!(
         "{}: {} cells across {} shards, digests {} -> {out}",
         plan.figure,
         plan.jobs.len(),
@@ -184,7 +184,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let corpus = open_corpus(corpus_dir)?;
     let bundle = shard::execute_shard(&plan, shard, &corpus).map_err(shard_err)?;
     write_json("shard-bundle", out, &bundle)?;
-    println!(
+    cli::outln!(
         "{} shard {}/{}: {} cells -> {out}",
         bundle.figure,
         bundle.shard,
@@ -214,14 +214,14 @@ fn cmd_merge(args: &[String]) -> Result<(), CliError> {
         let merged = shard::merge_partial(&plan, &bundles).map_err(shard_err)?;
         write_json("merged-grid", out, &merged)?;
         if merged.is_complete() {
-            println!(
+            cli::outln!(
                 "{}: merged {} bundles into {} cells (complete) -> {out}",
                 merged.grid.figure,
                 bundles.len(),
                 merged.grid.cells.len(),
             );
         } else {
-            println!(
+            cli::outln!(
                 "{}: partial merge, {} of {} cells outstanding ({}) -> {out}",
                 merged.grid.figure,
                 merged.outstanding.len(),
@@ -238,7 +238,7 @@ fn cmd_merge(args: &[String]) -> Result<(), CliError> {
     }
     let merged = shard::merge(&plan, &bundles).map_err(shard_err)?;
     write_json("merged-grid", out, &merged)?;
-    println!(
+    cli::outln!(
         "{}: merged {} bundles into {} cells -> {out}",
         merged.figure,
         bundles.len(),
@@ -258,7 +258,7 @@ fn cmd_local(args: &[String]) -> Result<(), CliError> {
     let outputs = grid::run_cells(&ctx, &jobs);
     let merged = MergedGrid::from_outputs(figure, outputs);
     write_json("merged-grid", out, &merged)?;
-    println!(
+    cli::outln!(
         "{}: ran {} cells in-process -> {out}",
         merged.figure,
         merged.cells.len(),
@@ -298,7 +298,7 @@ fn run_via(
         .status
         .map(|s| (s.cached, s.simulated))
         .unwrap_or((0, 0));
-    println!(
+    cli::outln!(
         "{figure}: ran {} cells via {endpoint} ({cached} cached, {simulated} simulated) -> {out}",
         merged.cells.len(),
     );

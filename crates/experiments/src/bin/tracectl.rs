@@ -104,7 +104,7 @@ fn main() -> ExitCode {
             ))),
         },
         Some("--help" | "-h") | None => {
-            print!("{USAGE}");
+            cli::out!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         Some(other) => Err(CliError::usage(format!(
@@ -219,7 +219,7 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
         interleave(per_node.into_iter().map(Vec::into_iter).collect()),
     )?;
     let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-    println!(
+    cli::outln!(
         "{}: {records} records, {} nodes, seed {seed}, scale {scale} -> {out} ({bytes} bytes, {:.2} B/record)",
         wl.name(),
         wl.nodes(),
@@ -241,7 +241,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
             .map(|r| r.node.index())
             .max()
             .map_or(0, |n| n + 1);
-        println!(
+        cli::outln!(
             "{path}: JSONL, {} records, {nodes} nodes, {bytes} bytes",
             recs.len()
         );
@@ -250,8 +250,8 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
     let file = File::open(path).map_err(CliError::io)?;
     let reader = TraceReader::open(BufReader::new(file)).map_err(CliError::io)?;
     let meta = reader.meta().expect("open loads metadata").clone();
-    println!("{path}: TSB1 v{}", meta.version);
-    println!(
+    cli::outln!("{path}: TSB1 v{}", meta.version);
+    cli::outln!(
         "  {} records in {} blocks (<= {} records/block), {bytes} bytes ({:.2} B/record)",
         meta.records,
         meta.blocks.len(),
@@ -259,14 +259,14 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
         bytes as f64 / meta.records.max(1) as f64,
     );
     if let Some(n) = meta.declared_nodes {
-        println!("  declared nodes: {n}");
+        cli::outln!("  declared nodes: {n}");
     }
     if let Some((lo, hi)) = meta.clock_range() {
-        println!("  clocks {lo}..={hi}");
+        cli::outln!("  clocks {lo}..={hi}");
     }
-    println!("  node  records        clocks");
+    cli::outln!("  node  records        clocks");
     for n in &meta.nodes {
-        println!(
+        cli::outln!(
             "  {:>4}  {:>10}     {}..={}",
             n.node.index(),
             n.records,
@@ -288,7 +288,7 @@ fn cmd_convert(args: &[String]) -> Result<(), CliError> {
     let n = write_records(output, nodes, recs.iter().copied())?;
     let in_bytes = std::fs::metadata(input).map(|m| m.len()).unwrap_or(0);
     let out_bytes = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
-    println!(
+    cli::outln!(
         "{input} ({in_bytes} B) -> {output} ({out_bytes} B): {n} records, size ratio {:.2}x",
         in_bytes as f64 / out_bytes.max(1) as f64,
     );
@@ -393,7 +393,7 @@ fn cmd_replay(args: &[String]) -> Result<(), CliError> {
             run_trace_stored_par(&trace, &cfg, par).map_err(CliError::io)?
         }
     };
-    println!(
+    cli::outln!(
         "{} [{}]: {} measured records, {} consumptions, coverage {:.1}%, discards {:.1}%, {} spin misses",
         r.workload,
         r.engine_name,
@@ -465,7 +465,7 @@ fn cmd_corpus_gen(args: &[String]) -> Result<(), CliError> {
     let mut to_generate: Vec<(String, f64, u64)> = Vec::new();
     for (name, scale, seed) in specs {
         if writer.verified(&name, scale, seed) {
-            println!("  {name:8} scale {scale:<5} seed {seed:<6} verified, skipped");
+            cli::outln!("  {name:8} scale {scale:<5} seed {seed:<6} verified, skipped");
             skipped += 1;
             continue;
         }
@@ -506,9 +506,14 @@ fn cmd_corpus_gen(args: &[String]) -> Result<(), CliError> {
     let mut new_records = 0u64;
     for result in generated {
         let entry = result.map_err(CliError::io)?;
-        println!(
+        cli::outln!(
             "  {:8} scale {:<5} seed {:<6} -> {} ({} records, {})",
-            entry.workload, entry.scale, entry.seed, entry.path, entry.records, entry.digest
+            entry.workload,
+            entry.scale,
+            entry.seed,
+            entry.path,
+            entry.records,
+            entry.digest
         );
         new_records += entry.records;
         regenerated += 1;
@@ -516,7 +521,7 @@ fn cmd_corpus_gen(args: &[String]) -> Result<(), CliError> {
     }
     let n = writer.entries().len();
     let manifest = writer.finish().map_err(CliError::io)?;
-    println!(
+    cli::outln!(
         "corpus {dir}: {regenerated} regenerated ({new_records} records), {skipped} skipped \
          (digest verified), {n} traces in manifest v{}",
         manifest.version
@@ -527,16 +532,21 @@ fn cmd_corpus_gen(args: &[String]) -> Result<(), CliError> {
 fn cmd_corpus_list(args: &[String]) -> Result<(), CliError> {
     let dir = positional(args, 0, "corpus directory", USAGE)?;
     let corpus = Corpus::open(dir).map_err(CliError::io)?;
-    println!(
+    cli::outln!(
         "{dir}: manifest v{}, {} traces",
         corpus.manifest().version,
         corpus.entries().len()
     );
-    println!("  workload scale  seed    nodes  records     path");
+    cli::outln!("  workload scale  seed    nodes  records     path");
     for e in corpus.entries() {
-        println!(
+        cli::outln!(
             "  {:8} {:<6} {:<7} {:<6} {:<11} {}",
-            e.workload, e.scale, e.seed, e.nodes, e.records, e.path
+            e.workload,
+            e.scale,
+            e.seed,
+            e.nodes,
+            e.records,
+            e.path
         );
     }
     Ok(())
@@ -609,7 +619,7 @@ fn cmd_corpus_add(args: &[String]) -> Result<(), CliError> {
     writer.insert(entry).map_err(CliError::io)?;
     let n = writer.entries().len();
     writer.finish().map_err(CliError::io)?;
-    println!(
+    cli::outln!(
         "{name}: registered {input} as {file_name} ({records} records, {nodes} nodes, {digest}); \
          {n} traces in manifest"
     );
@@ -666,7 +676,7 @@ fn cmd_corpus_gc(args: &[String]) -> Result<(), CliError> {
         tse_trace::fsio::sweep_stale(Path::new(dir), true)
             .map_err(|e| CliError::io(format!("cannot sweep stale files in {dir}: {e}")))?,
     );
-    println!("corpus {dir}: {report}");
+    cli::outln!("corpus {dir}: {report}");
     Ok(())
 }
 
@@ -689,7 +699,7 @@ fn cmd_corpus_verify(args: &[String]) -> Result<(), CliError> {
         } else {
             "all digests and metadata verified"
         };
-        println!(
+        cli::outln!(
             "{dir}: OK — {} traces, {records} records, {checked}",
             corpus.entries().len()
         );
@@ -727,6 +737,6 @@ fn cmd_corpus_sync(args: &[String]) -> Result<(), CliError> {
         _ => CliError::io(e),
     })?;
     let direction = if push { "push to" } else { "pull from" };
-    println!("{dir}: {direction} {endpoint} — {report}");
+    cli::outln!("{dir}: {direction} {endpoint} — {report}");
     Ok(())
 }

@@ -1,14 +1,15 @@
 //! Exit-code audit under injected faults, against the real binaries:
 //! injected EIO/ENOSPC must surface as exit 3 (I/O), corruption as
-//! exit 4 (verification), and a crash mid-`corpus gen` must leave a
-//! sweepable temp file — never a torn manifest.
+//! exit 4 (verification), a crash mid-`corpus gen` must leave a
+//! sweepable temp file — never a torn manifest — and a closed stdout
+//! pipe is a quiet success.
 
 #![cfg(unix)]
 
 use std::fs;
 use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A unique scratch directory per test invocation, removed on drop.
@@ -152,4 +153,30 @@ fn sweepctl_plan_write_fault_exits_3() {
         .unwrap();
     assert_eq!(out.status.code(), Some(3), "{out:?}");
     assert!(!plan.exists(), "faulted plan write must not land");
+}
+
+/// Runs `bin` with a stdout pipe whose reader is already gone, as
+/// `bin ... | head -1` leaves it once `head` has exited.
+fn into_closed_pipe(bin: &str, args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    Command::new(bin)
+        .args(args)
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .unwrap()
+}
+
+#[test]
+fn a_closed_stdout_pipe_exits_0_without_a_panic() {
+    for bin in [
+        env!("CARGO_BIN_EXE_tracectl"),
+        env!("CARGO_BIN_EXE_sweepctl"),
+    ] {
+        let out = into_closed_pipe(bin, &["--help"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{bin}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+    }
 }

@@ -90,12 +90,12 @@ fn main() -> ExitCode {
         Some("shutdown") => cmd_simple(&args[1..], "shutdown"),
         Some("crash-points") => {
             for point in fsio::registered_crash_points() {
-                println!("{point}");
+                cli::outln!("{point}");
             }
             return ExitCode::SUCCESS;
         }
         Some("--help" | "-h") | None => {
-            print!("{USAGE}");
+            cli::out!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         Some(other) => Err(CliError::usage(format!(
@@ -139,7 +139,7 @@ fn write_json<T: serde::Serialize>(path: &str, value: &T) -> Result<(), CliError
 }
 
 fn print_status(status: &tse_sweepd::service::JobStatus) {
-    println!(
+    cli::outln!(
         "job {} {}: {:?} — {} cells ({} cached, {} simulated, {} outstanding), {} rounds",
         status.id,
         status.figure,
@@ -203,7 +203,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             .compact(&replay.jobs)
             .map_err(|e| CliError::io(format!("cannot compact journal: {e}")))?;
         let pending = service.restore(replay.jobs);
-        println!(
+        cli::outln!(
             "sweepd: resumed {} journaled jobs ({} to re-run{})",
             service.statuses().len(),
             pending.len(),
@@ -232,17 +232,19 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             }
         });
     }
-    println!(
-        "sweepd: serving corpus {corpus_dir} with cache {cache_dir} ({} entries) on {ep}",
-        service.cache_stats().1
+    let server = net::bind(&ep).map_err(|e| CliError::io(format!("cannot listen on {ep}: {e}")))?;
+    cli::outln!(
+        "sweepd: serving corpus {corpus_dir} with cache {cache_dir} ({} entries) on {}",
+        service.cache_stats().1,
+        server.local_endpoint()
     );
-    net::serve(&service, &ep).map_err(CliError::io)
+    server.serve(&service).map_err(CliError::io)
 }
 
 fn cmd_simple(args: &[String], cmd: &str) -> Result<(), CliError> {
     let ep = endpoint(args)?;
     exchange(&ep, &Request::new(cmd))?;
-    println!("{cmd}: ok");
+    cli::outln!("{cmd}: ok");
     Ok(())
 }
 
@@ -268,10 +270,10 @@ fn cmd_submit(args: &[String]) -> Result<(), CliError> {
             .ok_or_else(|| CliError::io("daemon returned no merged grid"))?;
         if let Some(out) = cli::opt(args, "--out")? {
             write_json(out, &merged)?;
-            println!("{}: {} cells -> {out}", merged.figure, merged.cells.len());
+            cli::outln!("{}: {} cells -> {out}", merged.figure, merged.cells.len());
         }
     } else if let Some(id) = response.job {
-        println!("submitted as job {id}");
+        cli::outln!("submitted as job {id}");
     }
     Ok(())
 }
@@ -288,7 +290,7 @@ fn cmd_status(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(jobs) = &response.jobs {
         if jobs.is_empty() {
-            println!("no jobs");
+            cli::outln!("no jobs");
         }
         for status in jobs {
             print_status(status);
@@ -315,7 +317,7 @@ fn cmd_result(args: &[String]) -> Result<(), CliError> {
         .merged
         .ok_or_else(|| CliError::io("daemon returned no merged grid"))?;
     write_json(out, &merged)?;
-    println!("{}: {} cells -> {out}", merged.figure, merged.cells.len());
+    cli::outln!("{}: {} cells -> {out}", merged.figure, merged.cells.len());
     Ok(())
 }
 
@@ -325,7 +327,7 @@ fn cmd_cache_stats(args: &[String]) -> Result<(), CliError> {
     let stats = response
         .cache
         .ok_or_else(|| CliError::io("daemon returned no cache stats"))?;
-    println!(
+    cli::outln!(
         "cache: {} entries — {} hits, {} misses, {} inserts, {} evictions",
         response.cache_entries.unwrap_or(0),
         stats.hits,
@@ -349,6 +351,6 @@ fn cmd_cache_gc(args: &[String]) -> Result<(), CliError> {
     let report = response
         .gc
         .ok_or_else(|| CliError::io("daemon returned no gc report"))?;
-    println!("cache gc: {report}");
+    cli::outln!("cache gc: {report}");
     Ok(())
 }

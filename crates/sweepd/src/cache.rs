@@ -18,7 +18,9 @@
 //!
 //! On disk the cache is a directory of one JSON file per entry plus an
 //! index manifest (`cache.json`), both stamped with
-//! [`CACHE_FORMAT_VERSION`]. Invalidation rules:
+//! [`CACHE_FORMAT_VERSION`]. Entry files are written compact; entries
+//! pretty-printed by older builds parse identically and still hit, so
+//! the layout change needs no version bump. Invalidation rules:
 //!
 //! * a manifest with a different version is discarded wholesale (every
 //!   entry evicted) — bump the version whenever the key derivation or
@@ -357,7 +359,7 @@ impl ResultCache {
             key: key.clone(),
             output: output.clone(),
         };
-        let text = serde_json::to_string_pretty(&cell)
+        let text = serde_json::to_string(&cell)
             .map_err(|e| CacheError::Format(format!("cannot serialize entry {key}: {e}")))?;
         fsio::atomic_write_with(
             self.vfs.as_ref(),

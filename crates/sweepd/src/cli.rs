@@ -1,6 +1,6 @@
 //! Shared CLI plumbing for the workspace binaries (`tracectl`,
 //! `sweepctl`, `sweepd`): typed errors with distinct, scriptable exit
-//! codes.
+//! codes, and pipe-safe stdout ([`outln!`], [`out!`]).
 //!
 //! Earlier revisions exited `1` for everything, so CI could not tell a
 //! typo'd flag from a corrupted corpus. Every error now carries a
@@ -94,6 +94,41 @@ pub fn exit(tool: &str, result: Result<(), CliError>) -> ExitCode {
         }
     }
 }
+
+/// Writes formatted text to stdout; [`outln!`] and [`out!`] wrap it.
+///
+/// A closed pipe (`tracectl corpus list dir | head -1`) is not a
+/// failure: the reader took all it wanted, so the process exits 0
+/// quietly instead of panicking as `println!` does. Any other write
+/// failure exits [`EXIT_IO`].
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(i32::from(EXIT_IO));
+    }
+}
+
+/// `println!` for the CLIs: see [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` for the CLIs: see [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+pub use crate::{out, outln};
 
 /// Pulls the value of `--flag` out of an option list.
 ///

@@ -1,21 +1,36 @@
 //! Transport for the daemon protocol: TCP or Unix-domain sockets.
 //!
 //! An endpoint spec containing a `/` names a Unix socket path;
-//! anything else is a TCP address (`host:port`). The server runs a
-//! nonblocking accept loop so a `shutdown` request is honoured
-//! promptly, handling each connection on its own thread; in-flight
+//! anything else is a TCP address (`host:port`). A daemon [`bind`]s a
+//! [`Server`], then [`Server::serve`] blocks in `accept` and handles
+//! each connection on its own thread, so a request is picked up the
+//! moment it connects. A handled `shutdown` wakes the blocked accept by
+//! connecting once to the server's own address
+//! ([`Server::local_endpoint`]); the loop checks the shutdown flag after
+//! every accept and drops that wake connection undispatched. In-flight
 //! connections (including jobs still executing after an un-waited
-//! `submit`) are drained before [`serve`] returns.
+//! `submit`) are drained before `serve` returns.
+//!
+//! A client must deliver its request within [`REQUEST_READ_TIMEOUT`] of
+//! connecting; one that stalls is answered `ok: false` and dropped, so it
+//! can neither pin a handler nor hold up the drain. Job-protocol
+//! responses are compact single-line JSON; requests stay pretty-printed,
+//! which keeps the sync protocol's first-line routing intact.
 
 use crate::proto::{Request, Response, PROTO_VERSION};
 use crate::service::{JobState, SweepService};
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a client has, from the moment it is accepted, to deliver its
+/// whole request (a sync push's binary body gets this long per read
+/// instead). Real clients write their request right after connecting.
+pub const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Where a daemon listens (or a client connects).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,11 +75,11 @@ pub(crate) enum Conn {
 }
 
 impl Conn {
-    fn set_blocking(&self) -> std::io::Result<()> {
+    fn set_read_timeout(&self, timeout: Duration) -> std::io::Result<()> {
         match self {
-            Conn::Tcp(s) => s.set_nonblocking(false),
+            Conn::Tcp(s) => s.set_read_timeout(Some(timeout)),
             #[cfg(unix)]
-            Conn::Unix(s) => s.set_nonblocking(false),
+            Conn::Unix(s) => s.set_read_timeout(Some(timeout)),
         }
     }
 
@@ -105,29 +120,6 @@ impl Write for Conn {
     }
 }
 
-fn bind(endpoint: &Endpoint) -> std::io::Result<Listener> {
-    match endpoint {
-        Endpoint::Tcp(addr) => {
-            let l = TcpListener::bind(addr.as_str())?;
-            l.set_nonblocking(true)?;
-            Ok(Listener::Tcp(l))
-        }
-        #[cfg(unix)]
-        Endpoint::Unix(path) => {
-            // A stale socket file from a previous daemon blocks bind.
-            let _ = std::fs::remove_file(path);
-            let l = UnixListener::bind(path)?;
-            l.set_nonblocking(true)?;
-            Ok(Listener::Unix(l))
-        }
-        #[cfg(not(unix))]
-        Endpoint::Unix(_) => Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "unix sockets are not available on this platform",
-        )),
-    }
-}
-
 impl Listener {
     fn accept(&self) -> std::io::Result<Conn> {
         match self {
@@ -138,41 +130,99 @@ impl Listener {
     }
 }
 
-/// Runs the accept loop until the service's shutdown flag is raised
-/// (by a `shutdown` request or by the caller). Each connection is
-/// handled on its own thread; on exit, in-flight handlers are joined,
-/// the cache index is saved, and a Unix socket file is removed.
+/// A bound daemon socket that is not serving yet: [`bind`] it, read
+/// [`Server::local_endpoint`], then [`Server::serve`].
+pub struct Server {
+    listener: Listener,
+    local: Endpoint,
+}
+
+/// Binds a daemon socket, removing a stale Unix socket file first.
 ///
 /// # Errors
 ///
-/// Binding or accepting failures other than `WouldBlock`.
-pub fn serve(service: &Arc<SweepService>, endpoint: &Endpoint) -> std::io::Result<()> {
-    let listener = bind(endpoint)?;
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let result = loop {
-        if service.shutdown_requested() {
-            break Ok(());
-        }
-        match listener.accept() {
-            Ok(conn) => {
-                let svc = Arc::clone(service);
-                handlers.push(std::thread::spawn(move || handle(&svc, conn)));
+/// Binding failures, or a Unix endpoint on a platform without them.
+pub fn bind(endpoint: &Endpoint) -> std::io::Result<Server> {
+    match endpoint {
+        Endpoint::Tcp(addr) => {
+            let listener = TcpListener::bind(addr.as_str())?;
+            let mut local = listener.local_addr()?;
+            if local.ip().is_unspecified() {
+                local.set_ip(match local {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(e) => break Err(e),
+            Ok(Server {
+                listener: Listener::Tcp(listener),
+                local: Endpoint::Tcp(local.to_string()),
+            })
         }
-        handlers.retain(|h| !h.is_finished());
-    };
-    for h in handlers {
-        let _ = h.join();
+        #[cfg(unix)]
+        Endpoint::Unix(path) => {
+            // A stale socket file from a previous daemon blocks bind.
+            let _ = std::fs::remove_file(path);
+            Ok(Server {
+                listener: Listener::Unix(UnixListener::bind(path)?),
+                local: endpoint.clone(),
+            })
+        }
+        #[cfg(not(unix))]
+        Endpoint::Unix(_) => Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "unix sockets are not available on this platform",
+        )),
     }
-    let _ = service.save_cache();
-    if let Endpoint::Unix(path) = endpoint {
-        let _ = std::fs::remove_file(path);
+}
+
+impl Server {
+    /// Where clients reach this server: the socket path, or the bound
+    /// TCP address with a `:0` port resolved and a wildcard host
+    /// replaced by loopback.
+    pub fn local_endpoint(&self) -> &Endpoint {
+        &self.local
     }
-    result
+
+    /// Runs the accept loop until the service's shutdown flag is raised
+    /// (by a `shutdown` request, which also wakes the blocked accept).
+    /// Each connection is handled on its own thread; on exit, in-flight
+    /// handlers are joined, the cache index is saved, and a Unix socket
+    /// file is removed.
+    ///
+    /// # Errors
+    ///
+    /// Accept failures.
+    pub fn serve(self, service: &Arc<SweepService>) -> std::io::Result<()> {
+        let Server { listener, local } = self;
+        let wake = Arc::new(local);
+        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let result = loop {
+            let accepted = listener.accept();
+            if service.shutdown_requested() {
+                break Ok(());
+            }
+            match accepted {
+                Ok(conn) => {
+                    let svc = Arc::clone(service);
+                    let wake = Arc::clone(&wake);
+                    handlers.push(std::thread::spawn(move || handle(&svc, conn, &wake)));
+                }
+                Err(e) => break Err(e),
+            }
+            handlers.retain(|h| !h.is_finished());
+        };
+        // Close the listener before draining: late clients are refused
+        // instead of queueing, and any further wake connect fails fast.
+        drop(listener);
+        for h in handlers {
+            let _ = h.join();
+        }
+        let _ = service.save_cache();
+        if let Endpoint::Unix(path) = wake.as_ref() {
+            let _ = std::fs::remove_file(path);
+        }
+        result
+    }
 }
 
 /// Connects to an endpoint (client side).
@@ -217,33 +267,67 @@ pub(crate) fn read_line(conn: &mut impl Read, line: &mut String) -> std::io::Res
     Ok(())
 }
 
+/// A connection read that fails with `TimedOut` once `deadline` has
+/// passed, however the client paces its bytes.
+struct DeadlineReader<'a> {
+    conn: &'a mut Conn,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if !left.is_zero() {
+            self.conn.set_read_timeout(left)?;
+            match self.conn.read(buf) {
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                other => return other,
+            }
+        }
+        Err(std::io::Error::new(
+            std::io::ErrorKind::TimedOut,
+            format!("request incomplete after {REQUEST_READ_TIMEOUT:?}"),
+        ))
+    }
+}
+
 /// Reads one request, answers it, then performs any deferred work (an
 /// un-waited `submit` runs its job *after* the response is on the
 /// wire, so the client is never blocked on simulation it didn't ask to
 /// wait for).
-fn handle(service: &Arc<SweepService>, mut conn: Conn) {
-    let _ = conn.set_blocking();
+fn handle(service: &Arc<SweepService>, mut conn: Conn, wake: &Endpoint) {
     let mut text = String::new();
-    if read_line(&mut conn, &mut text).is_err() {
-        return;
-    }
+    let mut reader = DeadlineReader {
+        conn: &mut conn,
+        deadline: Instant::now() + REQUEST_READ_TIMEOUT,
+    };
+    let read = read_line(&mut reader, &mut text);
     // A complete single-line JSON document with a `sync-*` cmd is a
     // corpus-sync exchange: it keeps the connection (the request or
     // response carries a binary trace body after the JSON line).
-    if let Some(request) = crate::sync::parse_request(&text) {
-        crate::sync::serve_sync(service, &mut conn, &request);
-        return;
+    if read.is_ok() {
+        if let Some(request) = crate::sync::parse_request(&text) {
+            let _ = conn.set_read_timeout(REQUEST_READ_TIMEOUT);
+            crate::sync::serve_sync(service, &mut conn, &request);
+            return;
+        }
     }
-    if conn.read_to_string(&mut text).is_err() {
-        return;
-    }
-    let (response, run_after) = dispatch(service, &text);
-    let body = serde_json::to_string_pretty(&response)
-        .unwrap_or_else(|_| "{\"v\":1,\"ok\":false}".to_string());
+    let (response, run_after) = match read.and_then(|()| reader.read_to_string(&mut text)) {
+        Ok(_) => dispatch(service, &text),
+        Err(e) => (Response::failure(format!("cannot read request: {e}")), None),
+    };
+    let body =
+        serde_json::to_string(&response).unwrap_or_else(|_| "{\"v\":1,\"ok\":false}".to_string());
     let _ = conn.write_all(body.as_bytes());
     let _ = conn.write_all(b"\n");
     let _ = conn.flush();
     drop(conn);
+    if service.shutdown_requested() {
+        // Wake the accept loop out of its blocking accept; it sees the
+        // flag and never dispatches this connection. Handlers finishing
+        // after the listener closed just get a refused connect.
+        let _ = connect(wake);
+    }
     if let Some(id) = run_after {
         service.run(id);
     }

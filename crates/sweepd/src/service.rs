@@ -623,7 +623,8 @@ impl SweepService {
         self.cache.lock().expect("cache lock").save()
     }
 
-    /// Flags the accept loop to stop.
+    /// Flags the accept loop to stop. The loop checks the flag after
+    /// each accepted connection; a handled `shutdown` request makes one.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }

@@ -103,6 +103,40 @@ fn insert_then_lookup_persists_across_reopen() {
 }
 
 #[test]
+fn entries_are_written_compact_and_old_pretty_entries_still_hit() {
+    let scratch = ScratchDir::new("compact");
+    let j = job(6, Some(DIGEST));
+    let output = synthetic_output(&j);
+    let entry_path;
+    {
+        let mut cache = ResultCache::open(&scratch.0).unwrap();
+        cache.insert(&j, &output).unwrap();
+        entry_path = scratch.0.join(&cache.entries()[0].path);
+        cache.save().unwrap();
+    }
+    let compact = fs::read_to_string(&entry_path).unwrap();
+    assert_eq!(
+        compact.matches('\n').count(),
+        1,
+        "an entry is one JSON line"
+    );
+
+    // Rewrite the entry as builds before compact entries wrote it.
+    let cell: CachedCell = serde_json::from_str(&compact).unwrap();
+    let pretty = serde_json::to_string_pretty(&cell).unwrap() + "\n";
+    assert!(pretty.len() > compact.len());
+    fs::write(&entry_path, pretty).unwrap();
+
+    let mut cache = ResultCache::open(&scratch.0).unwrap();
+    assert_eq!(
+        cache.lookup(&j).unwrap(),
+        output,
+        "a pretty entry is still a hit"
+    );
+    assert_eq!((cache.stats().hits, cache.stats().evictions), (1, 0));
+}
+
+#[test]
 fn version_bump_invalidates_the_whole_store() {
     let scratch = ScratchDir::new("version");
     let j = job(1, Some(DIGEST));

@@ -268,3 +268,19 @@ fn every_crash_point_recovers_to_the_reference_merge() {
         );
     }
 }
+
+#[test]
+fn crash_point_listing_survives_a_closed_pipe() {
+    // `sweepd crash-points | head -1`, with `head` already gone.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_sweepd"))
+        .arg("crash-points")
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -57,15 +57,10 @@ struct Daemon {
 impl Daemon {
     fn start(service: SweepService, socket: &Path) -> Daemon {
         let service = Arc::new(service);
-        let endpoint = Endpoint::parse(&socket.display().to_string());
-        let ep = endpoint.clone();
-        let thread = std::thread::spawn(move || net::serve(&service, &ep));
-        for _ in 0..200 {
-            if net::request(&endpoint, &Request::new("ping")).is_ok() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
+        // Bound before serving, so requests queue until accepted.
+        let server = net::bind(&Endpoint::parse(&socket.display().to_string())).unwrap();
+        let endpoint = server.local_endpoint().clone();
+        let thread = std::thread::spawn(move || server.serve(&service));
         Daemon {
             endpoint,
             thread: Some(thread),
